@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain pytest underneath.
 
-.PHONY: install test bench bench-smoke bench-tables examples verify-smoke all
+.PHONY: install test bench bench-smoke perfbench-smoke bench-tables examples verify-smoke all
 
 install:
 	pip install -e '.[test]' --no-build-isolation || \
@@ -16,6 +16,14 @@ bench:
 # speedup floor, no pytest-benchmark storage, baseline left untouched.
 bench-smoke:
 	REPRO_BENCH_QUICK=1 pytest benchmarks/bench_perf_engine.py -s --benchmark-disable
+
+# One short run of the repo benchmark's l2-sampling workload (A3, A4, A5
+# and the wedge-pair baseline): fails unless its result line (the last
+# line printed) reports correct output and no failed trials.
+perfbench-smoke:
+	python3 perfbench/run.py --workload c4-adjacency-tiny --seed 1 --seconds 5 --trace 0 \
+	  | tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); print(r); \
+	  sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
 
 bench-tables:
 	pytest benchmarks/ -s --benchmark-disable

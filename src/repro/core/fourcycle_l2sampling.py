@@ -13,7 +13,8 @@ so ``mean(X) * F2_hat`` estimates ``T``.  Since ``F2(x) <= n^2 + 6T``,
 
 Implementation: each adjacency block of length ``d`` is expanded into
 its ``C(d, 2)`` wedge updates (this is the O(Delta) working-space step
-the paper describes) and fed to
+the paper describes), folded from the block's ``d`` vertex folds, and
+fed as one batch to
 
 * a :class:`~repro.sketches.wedge_f2.WedgeF2Estimator` for ``F2(x)``
   (the paper's own basic estimator — an "existing frequency moment
@@ -26,16 +27,40 @@ the paper describes) and fed to
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Sequence, Set
+
+import numpy as np
 
 from .. import obs as _obs
 from ..graphs.graph import Vertex, normalize_edge
 from ..seeding import component_rng
+from ..sketches.hashing import stable_key_array, stable_pair_key_array
 from ..sketches.l2_sampler import L2SamplerBank
 from ..sketches.wedge_f2 import WedgeF2Estimator
 from ..streams.meter import SpaceMeter
 from ..streams.models import AdjacencyListStream
 from .result import EstimateResult
+
+
+def _wedge_pair_keys(ordered: Sequence[Vertex]) -> np.ndarray:
+    """``stable_key(normalize_edge(u, v))`` of every pair ``i < j`` of one
+    adjacency block, in the nested-loop order ``(0, 1), (0, 2), ...``.
+
+    Each vertex is folded once; the pair keys are combined from those
+    folds, with the endpoints swapped wherever ``normalize_edge`` would.
+    """
+    folds = stable_key_array(list(ordered))
+    first, second = np.triu_indices(len(ordered), k=1)
+    swap = np.fromiter(
+        (
+            normalize_edge(ordered[i], ordered[j])[0] is not ordered[i]
+            for i, j in zip(first.tolist(), second.tolist())
+        ),
+        dtype=bool,
+        count=first.size,
+    )
+    first, second = np.where(swap, second, first), np.where(swap, first, second)
+    return stable_pair_key_array(folds[first], folds[second])
 
 
 class FourCycleL2Sampling:
@@ -47,8 +72,10 @@ class FourCycleL2Sampling:
         epsilon: target accuracy.
         num_samplers: size of the l2-sampler bank (the paper's ``r``).
         sampler_width / sampler_rows: CountSketch geometry per sampler.
-        accept_scale: precision-sampling acceptance scale (success
-            probability of one sampler is ~ 1/accept_scale).
+        accept_scale: precision-sampling acceptance scale.  With exact
+            ``F2`` one sampler fails with probability at most
+            ``exp(-accept_scale)``, so it succeeds with probability about
+            ``1 - exp(-accept_scale)`` (0.98 at the default 4).
         groups / group_size: F2 estimator layout.
         seed: seeds all hashes and the Bernoulli coin.
     """
@@ -111,11 +138,9 @@ class FourCycleL2Sampling:
                 max_degree = max(max_degree, len(neighbors))
                 meter.set("adjacency_buffer", len(neighbors))  # the O(Delta) buffer
                 f2_estimator.process_adjacency_list(vertex, neighbors)
-                ordered = sorted(neighbors, key=repr)
-                for i, u in enumerate(ordered):
-                    for v in ordered[i + 1 :]:
-                        bank.update(normalize_edge(u, v))
+                bank.update_batch(_wedge_pair_keys(sorted(neighbors, key=repr)))
             span.set("space_peak", meter.peak)
+        pass1_hash_evals = bank.hash_evals
 
         with telemetry.tracer.span("post:extract", kind="phase") as span:
             f2_hat = f2_estimator.estimate()
@@ -144,6 +169,10 @@ class FourCycleL2Sampling:
             metrics.inc(f"{self.name}.l2_samples", len(samples))
             metrics.inc(f"{self.name}.bernoulli_successes", successes)
             metrics.set_gauge(f"{self.name}.sketch_saturation", bank.saturation)
+            metrics.inc(f"{self.name}.pass1.hash_evals", pass1_hash_evals)
+            metrics.inc(f"{self.name}.pass1.sketch_cell_updates", bank.cell_updates)
+            metrics.inc(f"{self.name}.post.hash_evals", bank.hash_evals - pass1_hash_evals)
+            metrics.inc(f"{self.name}.post.candidate_pairs", len(candidates))
 
         details = {
             "f2_hat": f2_hat,

@@ -17,12 +17,24 @@ property-tested equal to a scalar update sequence.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .estimators import median
 from .hashing import KWiseHash, hash_family, stable_key_array
+
+
+def countsketch_hashes(
+    rows: int, seed: int, namespace: str = ""
+) -> Tuple[List[KWiseHash], List[KWiseHash]]:
+    """The per-row bucket (pairwise) and sign (4-wise) hashes of a
+    :class:`CountSketch` built with this ``seed`` and ``namespace``."""
+    prefix = f"{namespace}." if namespace else ""
+    return (
+        hash_family(rows, k=2, seed=seed, namespace=f"{prefix}countsketch.buckets"),
+        hash_family(rows, k=4, seed=seed, namespace=f"{prefix}countsketch.signs"),
+    )
 
 
 class CountSketch:
@@ -57,13 +69,7 @@ class CountSketch:
         self.rows = rows
         self.width = width
         self.max_cache_entries = max_cache_entries
-        prefix = f"{namespace}." if namespace else ""
-        self._buckets: List[KWiseHash] = hash_family(
-            rows, k=2, seed=seed, namespace=f"{prefix}countsketch.buckets"
-        )
-        self._signs: List[KWiseHash] = hash_family(
-            rows, k=4, seed=seed, namespace=f"{prefix}countsketch.signs"
-        )
+        self._buckets, self._signs = countsketch_hashes(rows, seed, namespace)
         self._table = np.zeros((rows, width), dtype=np.float64)
         # per-key (bucket, sign) rows, memoized: streams hit the same
         # coordinate many times (e.g. one wedge-vector entry per wedge).

@@ -20,7 +20,7 @@ per-process hash randomization.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, List
+from typing import Hashable, Iterable, List, Sequence
 
 import numpy as np
 
@@ -29,42 +29,125 @@ from ..seeding import component_rng
 MERSENNE_PRIME = (1 << 61) - 1
 
 _P64 = np.uint64(MERSENNE_PRIME)
+_ONE = np.uint64(1)
+_SHIFT3 = np.uint64(3)
+_SHIFT29 = np.uint64(29)
+_SHIFT32 = np.uint64(32)
 _SHIFT61 = np.uint64(61)
-_MASK31 = np.uint64((1 << 31) - 1)
-_MASK30 = np.uint64((1 << 30) - 1)
+_MASK29 = np.uint64((1 << 29) - 1)
+_MASK32 = np.uint64((1 << 32) - 1)
+# Columns per block of the stacked evaluator: keeps each (H, columns)
+# temporary near 32K elements, so a Horner step stays in cache.
+_BLOCK_ELEMENTS = 1 << 15
 
 
-def _mod_p(x: "np.ndarray") -> "np.ndarray":
-    """Reduce uint64 values ``< 2**63`` modulo ``2**61 - 1``.
+def _mul_add_mod(
+    acc: "np.ndarray", x_hi: "np.ndarray", x_lo: "np.ndarray", c: "np.ndarray"
+) -> "np.ndarray":
+    """``acc * x + c`` modulo ``P = 2**61 - 1``, folded once into ``[0, 2**61 + 4)``.
 
-    Uses the Mersenne fold ``x mod p = (x >> 61) + (x & p)`` twice plus a
-    final conditional subtraction, all branch-free on arrays.
+    ``x`` comes pre-split into 32-bit limbs (``x < P``); ``acc`` may be a
+    previous, not yet canonical result and ``c < 2**61``.  With
+    ``2**64 = 8`` and ``2**61 = 1 (mod P)``,
+
+        acc * x = hh * 2**64 + mid * 2**32 + ll
+                = 8 hh + (mid >> 29) + (mid & (2**29 - 1)) * 2**32
+                  + (ll >> 61) + (ll & P)                       (mod P),
+
+    and every term stays below ``2**61`` (``mid >> 29`` below ``2**33``),
+    so the sum with ``c`` fits in 64 bits and one Mersenne fold brings it
+    back under ``2**61 + 4`` -- a valid ``acc`` for the next step.
     """
-    x = (x >> _SHIFT61) + (x & _P64)
-    x = (x >> _SHIFT61) + (x & _P64)
-    return np.where(x >= _P64, x - _P64, x)
+    a_hi = acc >> _SHIFT32
+    a_lo = acc & _MASK32
+    mid = a_hi * x_lo
+    mid += a_lo * x_hi
+    ll = a_lo * x_lo
+    s = a_hi * x_hi
+    s <<= _SHIFT3
+    s += c
+    s += ll >> _SHIFT61
+    ll &= _P64
+    s += ll
+    s += mid >> _SHIFT29
+    mid &= _MASK29
+    mid <<= _SHIFT32
+    s += mid
+    high = s >> _SHIFT61
+    s &= _P64
+    s += high
+    return s
 
 
-def _mulmod_p(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
-    """``a * b mod (2**61 - 1)`` for uint64 arrays with entries ``< 2**61``.
+def _canonical(x: "np.ndarray") -> "np.ndarray":
+    """Reduce values in ``[0, 2**61 + 4)`` to ``[0, P)``: subtract ``P``
+    exactly when ``x + 1`` reaches ``2**61``."""
+    return (x + ((x + _ONE) >> _SHIFT61)) & _P64
 
-    Splits both operands into 31/30-bit halves so every intermediate
-    product fits in 64 bits:
 
-        a*b = a1*b1*2^62 + (a1*b0 + a0*b1)*2^31 + a0*b0,   2^62 = 2 (mod p)
+def stacked_values(coefficients: "np.ndarray", stable_keys: "np.ndarray") -> "np.ndarray":
+    """Evaluate ``H`` hash polynomials at ``N`` pre-folded keys at once.
+
+    ``coefficients`` is an ``(H, k)`` uint64 matrix whose rows are
+    :class:`KWiseHash` coefficient lists (leading coefficient first, see
+    :func:`stack_coefficients`); ``stable_keys`` holds :func:`stable_key`
+    outputs.  Returns the ``(H, N)`` uint64 values, equal to
+    ``KWiseHash.value`` of every row at every key.  Horner's rule starts
+    at the leading coefficient, and the keys are processed in column
+    blocks so the temporaries stay small.
     """
-    a1 = a >> np.uint64(31)
-    a0 = a & _MASK31
-    b1 = b >> np.uint64(31)
-    b0 = b & _MASK31
-    top = _mod_p(_mod_p(a1 * b1) << np.uint64(1))
-    mid = _mod_p(a1 * b0 + a0 * b1)
-    # mid * 2^31 mod p: split mid = m1*2^30 + m0, and 2^61 = 1 (mod p)
-    m1 = mid >> np.uint64(30)
-    m0 = mid & _MASK30
-    mid_term = _mod_p(m1 + (m0 << np.uint64(31)))
-    low = _mod_p(a0 * b0)
-    return _mod_p(top + _mod_p(mid_term + low))
+    coefficients = np.asarray(coefficients, dtype=np.uint64)
+    x = np.asarray(stable_keys, dtype=np.uint64)
+    height, k = coefficients.shape
+    out = np.empty((height, x.size), dtype=np.uint64)
+    step = max(1, _BLOCK_ELEMENTS // max(height, 1))
+    for lo in range(0, x.size, step):
+        block = x[lo : lo + step]
+        x_hi = block >> _SHIFT32
+        x_lo = block & _MASK32
+        acc = coefficients[:, :1]
+        for j in range(1, k):
+            acc = _mul_add_mod(acc, x_hi, x_lo, coefficients[:, j : j + 1])
+        out[:, lo : lo + block.size] = _canonical(acc)
+    return out
+
+
+def uniforms_of_values(values: "np.ndarray") -> "np.ndarray":
+    """:meth:`KWiseHash.uniform` of raw hash values, as float64 in ``(0, 1)``.
+
+    ``value + 1`` is rounded to float once, as the scalar true division
+    does; dividing by the power of two ``P + 1`` is then exact, so the
+    results equal the scalar ones bit for bit.
+    """
+    return (values + _ONE).astype(np.float64) / float(MERSENNE_PRIME + 1)
+
+
+def stack_coefficients(hashes: Sequence["KWiseHash"]) -> "np.ndarray":
+    """The ``(len(hashes), k)`` coefficient matrix of equal-degree hashes,
+    for :func:`stacked_values`."""
+    return np.array([h._coeffs for h in hashes], dtype=np.uint64).reshape(len(hashes), -1)
+
+
+# The tuple encoding of :func:`stable_key`, shared with its pair kernel.
+_TUPLE_SEED = 104729
+_TUPLE_MULTIPLIER = 1000003
+
+
+def stable_pair_key_array(first: "np.ndarray", second: "np.ndarray") -> "np.ndarray":
+    """Vectorized ``stable_key((a, b))`` from the folds of ``a`` and ``b``.
+
+    ``first`` and ``second`` are :func:`stable_key` outputs of the pair's
+    members; the result equals the scalar tuple encoding exactly, so a
+    pair key is folded from two per-vertex folds instead of recursing
+    through the tuple.
+    """
+    first = np.asarray(first, dtype=np.uint64)
+    second = np.asarray(second, dtype=np.uint64)
+    multiplier = np.uint64(_TUPLE_MULTIPLIER)  # one 32-bit limb: the high limb is 0
+    acc = np.full(first.shape, _TUPLE_SEED, dtype=np.uint64)
+    for member in (first, second):
+        acc = _mul_add_mod(acc, np.uint64(0), multiplier, member + _ONE)
+    return _canonical(acc)
 
 
 def stable_key_array(keys: Iterable[Hashable]) -> "np.ndarray":
@@ -120,9 +203,9 @@ def stable_key(value: Hashable) -> int:
             acc = (acc * 131 + byte) % MERSENNE_PRIME
         return acc
     if isinstance(value, tuple):
-        acc = 104729
+        acc = _TUPLE_SEED
         for item in value:
-            acc = (acc * 1000003 + stable_key(item) + 1) % MERSENNE_PRIME
+            acc = (acc * _TUPLE_MULTIPLIER + stable_key(item) + 1) % MERSENNE_PRIME
         return acc
     if isinstance(value, frozenset):
         # Domain-separated from tuples: a frozenset used to hash as the
@@ -159,6 +242,7 @@ class KWiseHash:
         # leading coefficient nonzero keeps the polynomial degree exact
         self._coeffs: List[int] = [rng.randrange(1, MERSENNE_PRIME)]
         self._coeffs.extend(rng.randrange(MERSENNE_PRIME) for _ in range(k - 1))
+        self._coefficients = stack_coefficients([self])
 
     def value(self, key: Hashable) -> int:
         """The raw hash value in ``[0, MERSENNE_PRIME)``."""
@@ -206,18 +290,14 @@ class KWiseHash:
         ``stable_keys`` must be a uint64 array of :func:`stable_key`
         outputs (see :func:`stable_key_array`).  Returns uint64 values in
         ``[0, MERSENNE_PRIME)`` identical to the scalar path, evaluated
-        by Horner's rule with the branch-free Mersenne ``mulmod``.
+        by the stacked Horner kernel :func:`stacked_values`.
         """
         x = np.asarray(stable_keys, dtype=np.uint64)
-        acc = np.zeros_like(x)
-        for coeff in self._coeffs:
-            acc = _mod_p(_mulmod_p(acc, x) + np.uint64(coeff))
-        return acc
+        return stacked_values(self._coefficients, x.ravel())[0].reshape(x.shape)
 
     def uniforms_array(self, stable_keys: "np.ndarray") -> "np.ndarray":
         """Vectorized :meth:`uniform` (float64 in ``(0, 1)``)."""
-        values = self.values_array(stable_keys)
-        return (values.astype(np.float64) + 1.0) / float(MERSENNE_PRIME + 1)
+        return uniforms_of_values(self.values_array(stable_keys))
 
     def bernoulli_array(self, stable_keys: "np.ndarray", p: float) -> "np.ndarray":
         """Vectorized :meth:`bernoulli` (bool array)."""

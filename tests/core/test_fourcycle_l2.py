@@ -1,12 +1,80 @@
 """Theorem 4.3b: the one-pass l2-sampling adjacency-list counter."""
 
+import random
 import statistics
 
 import pytest
 
+from repro import obs
 from repro.core import FourCycleL2Sampling
-from repro.graphs import erdos_renyi, four_cycle_count
+from repro.graphs import Graph, erdos_renyi, four_cycle_count
+from repro.graphs.graph import normalize_edge
+from repro.seeding import component_rng, derive_seed
+from repro.sketches import L2Sampler
+from repro.sketches.wedge_f2 import WedgeF2Estimator
 from repro.streams import AdjacencyListStream, ArbitraryOrderStream
+
+
+def _scalar_oracle(algorithm, stream):
+    """A5 as a per-pair x per-copy loop of scalar L2Sampler updates, with
+    the bank's derived seeds: the reference the batched bank must match."""
+    f2_estimator = WedgeF2Estimator(
+        groups=algorithm.groups, group_size=algorithm.group_size, seed=algorithm.seed
+    )
+    samplers = [
+        L2Sampler(
+            seed=derive_seed("sketch:l2-sampler-bank", j, seed=algorithm.seed),
+            rows=algorithm.sampler_rows,
+            width=algorithm.sampler_width,
+            accept_scale=algorithm.accept_scale,
+        )
+        for j in range(algorithm.num_samplers)
+    ]
+    vertices = set()
+    for vertex, neighbors in stream.adjacency_lists():
+        vertices.add(vertex)
+        vertices.update(neighbors)
+        f2_estimator.process_adjacency_list(vertex, neighbors)
+        ordered = sorted(neighbors, key=repr)
+        for i, u in enumerate(ordered):
+            for v in ordered[i + 1 :]:
+                for sampler in samplers:
+                    sampler.update(normalize_edge(u, v))
+    f2_hat = f2_estimator.estimate()
+    ordered_vertices = sorted(vertices, key=repr)
+    candidates = [
+        normalize_edge(u, v)
+        for i, u in enumerate(ordered_vertices)
+        for v in ordered_vertices[i + 1 :]
+    ]
+    drawn = [sampler.sample(candidates, f2_hat) for sampler in samplers]
+    samples = [d for d in drawn if d is not None]
+    rng = component_rng("fourcycle-l2.coin", seed=algorithm.seed)
+    successes = 0
+    values = []
+    for _pair, f_estimate in samples:
+        x_value = max(1, round(abs(f_estimate)))
+        values.append(x_value)
+        if rng.random() < (x_value - 1) / (4.0 * x_value):
+            successes += 1
+    ratio = successes / len(samples) if samples else 0.0
+    return ratio * f2_hat, f2_hat, values, successes, len(candidates)
+
+
+def _oracle_graph(labels):
+    """95 vertices (C(95, 2) > 4096 candidate pairs), a 70-leaf hub whose
+    block holds more pairs than one stacked batch, a sparse random part,
+    degree-1 leaves and isolated (degree-0) vertices."""
+    rng = random.Random(17)
+    graph = Graph()
+    for v in range(95):
+        graph.add_vertex(labels(v))
+    for leaf in range(1, 71):
+        graph.add_edge(labels(0), labels(leaf))
+    for _ in range(60):
+        u, v = rng.sample(range(1, 90), 2)
+        graph.add_edge(labels(u), labels(v))
+    return graph
 
 
 class TestValidation:
@@ -19,6 +87,51 @@ class TestValidation:
     def test_requires_adjacency_stream(self):
         with pytest.raises(TypeError):
             FourCycleL2Sampling(t_guess=5).run(ArbitraryOrderStream([(0, 1)]))
+
+
+class TestBatchedBankMatchesScalarOracle:
+    @pytest.mark.parametrize(
+        "labels, seed",
+        [(int, 0), (int, 1), (int, 2), (lambda v: f"v{v}", 3)],
+        ids=["int-0", "int-1", "int-2", "str-3"],
+    )
+    def test_bit_identical(self, labels, seed):
+        graph = _oracle_graph(labels)
+        assert any(graph.degree(v) == 0 for v in graph.vertices())
+        assert any(graph.degree(v) == 1 for v in graph.vertices())
+        algorithm = FourCycleL2Sampling(
+            t_guess=50, num_samplers=8, sampler_width=64, seed=seed
+        )
+        result = algorithm.run(AdjacencyListStream(graph, seed=seed))
+        estimate, f2_hat, values, successes, candidates = _scalar_oracle(
+            algorithm, AdjacencyListStream(graph, seed=seed)
+        )
+        assert candidates > 4096
+        assert result.details["num_samples"] > 0
+        assert result.estimate == estimate
+        assert result.details["f2_hat"] == f2_hat
+        assert result.details["sampled_values"] == values
+        assert result.details["bernoulli_successes"] == successes
+        assert result.details["num_candidate_pairs"] == candidates
+        assert result.space.peak_of("sampler_cells") == 8 * 5 * 64
+
+
+class TestWorkCounters:
+    def test_per_pass_counters(self):
+        graph = erdos_renyi(20, 0.4, seed=2)
+        wedges = sum(d * (d - 1) // 2 for d in (graph.degree(v) for v in graph.vertices()))
+        with obs.session(collect_env=False) as telemetry:
+            result = FourCycleL2Sampling(t_guess=50, num_samplers=3, seed=1).run(
+                AdjacencyListStream(graph, seed=1)
+            )
+        counters = telemetry.metrics.snapshot()["counters"]
+        name = "mv-fourcycle-l2"
+        candidates = result.details["num_candidate_pairs"]
+        per_key = 3 * (1 + 2 * 5)  # uniform + 5 bucket + 5 sign hashes per copy
+        assert counters[f"{name}.pass1.hash_evals"] == wedges * per_key
+        assert counters[f"{name}.pass1.sketch_cell_updates"] == wedges * 3 * 5
+        assert counters[f"{name}.post.hash_evals"] == candidates * per_key
+        assert counters[f"{name}.post.candidate_pairs"] == candidates
 
 
 class TestAccuracy:

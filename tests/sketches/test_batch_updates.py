@@ -57,11 +57,20 @@ class TestKWiseHashArrays:
         arr = np.array(keys, dtype=np.uint64)
         assert h.buckets_array(arr, 37).tolist() == [h.bucket(k, 37) for k in keys]
         assert h.signs_array(arr).tolist() == [h.sign(k) for k in keys]
-        assert np.allclose(h.uniforms_array(arr), [h.uniform(k) for k in keys])
+        assert h.uniforms_array(arr).tolist() == [h.uniform(k) for k in keys]
         for p in (0.0, 0.25, 0.5, 1.0, 1e-9):
             assert h.bernoulli_array(arr, p).tolist() == [
                 h.bernoulli(k, p) for k in keys
             ]
+
+
+    def test_uniforms_array_rounds_once(self):
+        """``value + 1`` is rounded to float once, as the scalar division
+        does; rounding ``value`` and then adding 1.0 disagreed by 1 ulp on
+        about 1.5% of keys."""
+        h = KWiseHash(2, seed=5)
+        arr = np.array([stable_key(k) for k in range(20000)], dtype=np.uint64)
+        assert h.uniforms_array(arr).tolist() == [h.uniform(int(k)) for k in arr]
 
 
 class TestCountSketchBatch:
