@@ -17,13 +17,16 @@ bench:
 bench-smoke:
 	REPRO_BENCH_QUICK=1 pytest benchmarks/bench_perf_engine.py -s --benchmark-disable
 
-# One short run of the repo benchmark's l2-sampling workload (A3, A4, A5
-# and the wedge-pair baseline): fails unless its result line (the last
-# line printed) reports correct output and no failed trials.
+# One short run of two repo-benchmark workloads: c4-adjacency-tiny (A3,
+# A4, A5 and the wedge-pair baseline) and c4-file-arbitrary (A6, A7, A8
+# and three baselines).  Each fails unless its result line (the last line
+# printed) reports correct output and no failed trials.
 perfbench-smoke:
-	python3 perfbench/run.py --workload c4-adjacency-tiny --seed 1 --seconds 5 --trace 0 \
-	  | tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); print(r); \
-	  sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
+	for workload in c4-adjacency-tiny c4-file-arbitrary; do \
+	  python3 perfbench/run.py --workload $$workload --seed 1 --seconds 5 --trace 0 \
+	    | tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); print(r); \
+	    sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' || exit 1; \
+	done
 
 bench-tables:
 	pytest benchmarks/ -s --benchmark-disable

@@ -20,7 +20,9 @@ Structure (paper Section 5.1):
   with the paper's ``f/g`` sub-sampling hashes, which restore
   per-H_e-vertex independence even though a single sampled vertex of
   ``G`` can contribute up to two H_e vertices (Section 5.1's ``q``
-  satisfying ``(p(0.4+q))^2 = pq``).
+  satisfying ``(p(0.4+q))^2 = pq``).  Every oracle's samples are drawn
+  together by :func:`select_samples`, and each pass-3 edge visits only
+  the oracles whose edge shares one endpoint with it.
 
 * The estimate is ``A0 / (4 p^3) + A1 / p^3`` where ``A0`` counts
   stored pairs whose cycle is all-light and ``A1`` those with heavy
@@ -34,12 +36,23 @@ as a large constant.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
+
+import numpy as np
 
 from .. import obs as _obs
 from ..graphs.graph import Edge, Vertex, normalize_edge
-from ..sketches.hashing import KWiseHash
+from ..sketches.hashing import (
+    MERSENNE_PRIME,
+    KWiseHash,
+    gathered_values,
+    stable_key_array,
+    stable_tuple_key_array,
+    stack_coefficients,
+    uniforms_of_values,
+)
 from ..streams.meter import SpaceMeter
 from ..streams.models import StreamSource
 from .result import EstimateResult
@@ -66,118 +79,193 @@ def subsample_q(p: float) -> float:
     return (-b - math.sqrt(disc)) / (2 * a)
 
 
+class Selection(NamedTuple):
+    """The H_e samples of a batch of oracles (see :func:`select_samples`)."""
+
+    samples: List[Tuple[Set[Edge], Set[Edge]]]  # (R1(e), R2(e)) per edge
+    mode: str  # "paper" (f/g sub-sampling) or "direct"
+    effective_p: float  # per-H_e-vertex inclusion probability
+    hash_evals: int  # candidates hashed
+
+
+def select_samples(
+    edges: Sequence[Edge],
+    q_sets: Tuple[Set[Vertex], Set[Vertex]],
+    s_adjs: Tuple[Dict[Vertex, Set[Vertex]], Dict[Vertex, Set[Vertex]]],
+    p: float,
+    seeds: Sequence[int],
+) -> Selection:
+    """Draw ``R1(e), R2(e)`` for every oracle edge in one array pass.
+
+    Copy ``c`` of edge ``e = (a, b)`` (seed ``seeds[i]``) selects H_e
+    vertices ``(d, x)``: ``x`` an endpoint of ``e``, ``d`` a Q_c vertex
+    other than ``a, b`` whose S_c edge to ``x`` exists.  With ``p >= 0.5``
+    (direct mode) each ``(d, x)`` is kept with probability 0.4 under the
+    key ``(d, x, e)``.  In the paper regime the key is ``(d, e)``: a ``d``
+    joined to both endpoints keeps ``(d, a)``, ``(d, b)`` or both with
+    probabilities ``0.4, 0.4, q``, and a ``d`` joined to one keeps it
+    with probability ``0.4 + q``.  Every vertex is folded once, every
+    candidate key is folded from those folds, and each is hashed by its
+    own oracle's ``threepass.select[c]`` function in one row-gathered
+    evaluation; the thresholds are those of ``KWiseHash.bernoulli`` and
+    ``choice4``, so the samples equal the per-key scalar draws exactly.
+    """
+    if 0.0 < p < 0.5:
+        mode = "paper"
+        q = subsample_q(p)
+        effective_p = p * (0.4 + q)
+    else:
+        # dense regime (p >= 0.5, outside the paper's p < 0.1 remit):
+        # select each candidate H_e vertex with probability 0.4; at
+        # p == 1 the pair events are exactly independent, and the
+        # residual correlation for p in (0.5, 1) is at most a factor
+        # 1/p on the pair probability.
+        mode = "direct"
+        q = 0.0
+        effective_p = 0.4 * min(1.0, p)
+    samples: List[Tuple[Set[Edge], Set[Edge]]] = [(set(), set()) for _ in edges]
+    if not edges:
+        return Selection(samples, mode, effective_p, 0)
+
+    vertices: List[Vertex] = list(
+        dict.fromkeys(itertools.chain(itertools.chain.from_iterable(edges), *s_adjs))
+    )
+    index = {v: i for i, v in enumerate(vertices)}
+    folds = stable_key_array(vertices)
+    ends = np.array([[index[a], index[b]] for a, b in edges], dtype=np.int64)
+    edge_folds = stable_tuple_key_array(folds[ends[:, 0]], folds[ends[:, 1]])
+    hashes = [
+        KWiseHash(k=2, seed=seed, namespace=f"threepass.select[{copy}]")
+        for seed in seeds
+        for copy in (0, 1)
+    ]  # row 2 i + c: copy c of edge i
+
+    # candidate columns: owner edge, copy, d, the endpoint x, and (paper
+    # mode) whether d is joined to both endpoints
+    owner_parts, copy_parts, d_parts, x_parts, both_parts = [], [], [], [], []
+    for copy in (0, 1):
+        offsets, neighbors, pair_keys = _q_adjacency(
+            index, q_sets[copy], s_adjs[copy], len(vertices)
+        )
+        for side in (0, 1):
+            x, other = ends[:, side], ends[:, 1 - side]
+            owner, d = _neighbors_of(offsets, neighbors, x)
+            keep = d != other[owner]
+            both = np.zeros(owner.size, dtype=bool)
+            if mode == "paper":
+                # d joined to both endpoints is one candidate, listed from a
+                both = np.isin(other[owner] * len(vertices) + d, pair_keys)
+                if side == 1:
+                    keep &= ~both
+            owner_parts.append(owner[keep])
+            copy_parts.append(np.full(int(keep.sum()), copy, dtype=np.int64))
+            d_parts.append(d[keep])
+            x_parts.append(x[owner[keep]])
+            both_parts.append(both[keep])
+    owner = np.concatenate(owner_parts)
+    copy_of = np.concatenate(copy_parts)
+    d = np.concatenate(d_parts)
+    x = np.concatenate(x_parts)
+    both = np.concatenate(both_parts)
+
+    if mode == "direct":
+        keys = stable_tuple_key_array(folds[d], folds[x], edge_folds[owner])
+    else:
+        keys = stable_tuple_key_array(folds[d], edge_folds[owner])
+    values = gathered_values(stack_coefficients(hashes), 2 * owner + copy_of, keys)
+
+    if mode == "direct":
+        take = values < np.uint64(math.ceil(0.4 * MERSENNE_PRIME))
+        take_second = np.zeros(owner.size, dtype=bool)
+    else:
+        # choice4((d, e), 0.4, 0.4, q): 0 keeps (d, a), 1 keeps (d, b),
+        # 2 keeps both; a one-endpoint d is bernoulli((d, e), 0.4 + q)
+        uniforms = uniforms_of_values(values)
+        take = np.where(
+            both,
+            (uniforms < 0.4) | ((uniforms >= 0.4 + 0.4) & (uniforms < 0.4 + 0.4 + q)),
+            values < np.uint64(math.ceil((0.4 + q) * MERSENNE_PRIME)),
+        )
+        take_second = both & (uniforms >= 0.4) & (uniforms < 0.4 + 0.4 + q)
+
+    # every kept (d, x), then the (d, b) halves of the two-endpoint choices
+    pick = np.concatenate([np.flatnonzero(take), np.flatnonzero(take_second)])
+    endpoint = np.concatenate([x[take], ends[owner[take_second], 1]])
+    for i, c, dv, xv in zip(
+        owner[pick].tolist(), copy_of[pick].tolist(), d[pick].tolist(), endpoint.tolist()
+    ):
+        samples[i][c].add(normalize_edge(vertices[dv], vertices[xv]))
+    return Selection(samples, mode, effective_p, int(owner.size))
+
+
+def _q_adjacency(
+    index: Dict[Vertex, int], q_set: Set[Vertex], s_adj: Dict[Vertex, Set[Vertex]], size: int
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """Each vertex's S neighbours inside Q, as sorted CSR (``offsets``,
+    ``neighbors``) plus the sorted ``x * size + d`` keys of its pairs."""
+    pairs = np.array(
+        [(index[x], index[d]) for x, adj in s_adj.items() for d in adj if d in q_set],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    pair_keys = np.sort(pairs[:, 0] * size + pairs[:, 1])
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=size), out=offsets[1:])
+    return offsets, pair_keys % size, pair_keys
+
+
+def _neighbors_of(
+    offsets: "np.ndarray", neighbors: "np.ndarray", x: "np.ndarray"
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Every ``(i, d)`` with ``d`` a CSR neighbour of ``x[i]``, grouped by ``i``."""
+    starts = offsets[x]
+    counts = offsets[x + 1] - starts
+    owner = np.repeat(np.arange(x.size), counts)
+    first = np.cumsum(counts) - counts
+    return owner, neighbors[np.arange(owner.size) - first[owner] + starts[owner]]
+
+
 class _EdgeOracle:
-    """One heavy/light classifier: a Useful run over ``H_e``."""
+    """One heavy/light classifier: a Useful run over ``H_e``.
+
+    Holds the samples ``R1(e), R2(e)`` and re-keys them by endpoint:
+    ``_hanging[x]`` lists ``(g, adjacency of d)`` for every sampled
+    ``g = (d, x)``, with ``d``'s adjacency taken from the S sample that
+    produced ``g``.  These lists index the samples; they are not sampled
+    state of their own.
+    """
 
     def __init__(
         self,
         edge: Edge,
-        q1: Set[Vertex],
-        q2: Set[Vertex],
-        s1_adj: Dict[Vertex, Set[Vertex]],
-        s2_adj: Dict[Vertex, Set[Vertex]],
-        p: float,
+        samples: Tuple[Set[Edge], Set[Edge]],
+        s_adjs: Tuple[Dict[Vertex, Set[Vertex]], Dict[Vertex, Set[Vertex]]],
+        effective_p: float,
         m_bound: float,
-        seed: int,
     ) -> None:
         self.edge = edge
-        self._s_adj = (s1_adj, s2_adj)
-        self._select_hash = [
-            KWiseHash(k=2, seed=seed, namespace="threepass.select[0]"),
-            KWiseHash(k=2, seed=seed, namespace="threepass.select[1]"),
-        ]
-        if 0.0 < p < 0.5:
-            q = subsample_q(p)
-            self._mode = "paper"
-            self._include_both_prob = q
-            effective_p = p * (0.4 + q)
-        else:
-            # dense regime (p >= 0.5, outside the paper's p < 0.1 remit):
-            # select each candidate H_e vertex with probability 0.4; at
-            # p == 1 the pair events are exactly independent, and the
-            # residual correlation for p in (0.5, 1) is at most a factor
-            # 1/p on the pair probability.
-            self._mode = "direct"
-            self._include_both_prob = 0.0
-            effective_p = 0.4 * min(1.0, p)
-        self.effective_p = effective_p
-        # build R1(e), R2(e): H_e vertices selected from each sample
-        self._r = [
-            self._build_sample(copy, q1 if copy == 0 else q2)
-            for copy in (0, 1)
-        ]
+        self._hanging: Dict[Vertex, List[Tuple[Edge, Set[Vertex]]]] = {
+            x: [] for x in edge
+        }
+        for r, adj in zip(samples, s_adjs):
+            for g in r:
+                gu, gv = g
+                x, d = (gu, gv) if gu in self._hanging else (gv, gu)
+                self._hanging[x].append((g, adj[d]))
         self.useful = UsefulAlgorithm(
-            r1=self._r[0], r2=self._r[1], p=effective_p, m_bound=m_bound
+            r1=samples[0], r2=samples[1], p=effective_p, m_bound=m_bound
         )
 
-    # ------------------------------------------------------------------
-    def _build_sample(self, copy: int, q_set: Set[Vertex]) -> Set[Edge]:
-        """Select H_e vertices ``(d, x)`` with ``d`` in the Q sample."""
-        a, b = self.edge
-        selected: Set[Edge] = set()
-        adj = self._s_adj[copy]
-        candidates: Set[Vertex] = set()
-        for x in (a, b):
-            candidates.update(d for d in adj.get(x, ()) if d in q_set)
-        candidates.discard(a)
-        candidates.discard(b)
-        hash_fn = self._select_hash[copy]
-        for d in candidates:
-            has_to_a = a in adj.get(d, ())
-            has_to_b = b in adj.get(d, ())
-            edges_present = [x for x, has in ((a, has_to_a), (b, has_to_b)) if has]
-            if not edges_present:
-                continue
-            if self._mode == "direct":
-                for x in edges_present:
-                    if hash_fn.bernoulli((d, x, self.edge), 0.4):
-                        selected.add(normalize_edge(d, x))
-                continue
-            q = self._include_both_prob
-            if len(edges_present) == 2:
-                choice = hash_fn.choice4((d, self.edge), 0.4, 0.4, q)
-                if choice in (0, 2):
-                    selected.add(normalize_edge(d, edges_present[0]))
-                if choice in (1, 2):
-                    selected.add(normalize_edge(d, edges_present[1]))
-            else:
-                if hash_fn.bernoulli((d, self.edge), 0.4 + q):
-                    selected.add(normalize_edge(d, edges_present[0]))
-        return selected
+    def observe(self, f: Edge, opposite: Vertex, outer: Vertex) -> None:
+        """Pass-3 hook for a stream edge ``f`` sharing one endpoint with ``e``.
 
-    # ------------------------------------------------------------------
-    def process_stream_edge(self, f: Edge) -> None:
-        """Pass-3 hook: ``f`` shares exactly one endpoint with ``e``.
-
-        ``f`` is a vertex of ``H_e``; its observable H_e-neighbors are
-        the selected sample members ``g = (d, opposite)`` hanging off
-        the *other* endpoint of ``e``, connected iff the witness edge
-        between the outer endpoints exists (checkable because ``d``'s
-        full adjacency is in the S sample that produced ``g``).
+        ``f`` is a vertex of ``H_e``; ``opposite`` is the endpoint of ``e``
+        not in ``f`` and ``outer`` the endpoint of ``f`` not in ``e``.
+        The observable H_e-neighbours of ``f`` are the samples ``g = (d,
+        opposite)`` whose witness edge ``(outer, d)`` exists (checkable
+        because ``d``'s full adjacency is in the S sample that produced
+        ``g``; an adjacency never holds its own vertex, so ``d != outer``).
         """
-        a, b = self.edge
-        fu, fv = f
-        if fu in (a, b):
-            shared, outer = fu, fv
-        else:
-            shared, outer = fv, fu
-        opposite = b if shared == a else a
-        weights: Dict[Edge, float] = {}
-        for copy in (0, 1):
-            adj = self._s_adj[copy]
-            for g in self._r[copy]:
-                gu, gv = g
-                if opposite == gu:
-                    d = gv
-                elif opposite == gv:
-                    d = gu
-                else:
-                    continue  # g hangs off the same endpoint as f
-                if d in (a, b, outer, shared) or outer in (opposite, d):
-                    continue
-                # witness edge (outer, d): d's adjacency is complete in S
-                if outer in adj.get(d, ()):
-                    weights[g] = 1.0
+        weights = {g: 1.0 for g, adj in self._hanging[opposite] if outer in adj}
         self.useful.process_vertex(f, weights)
 
     def classify(self, eta_sqrt_t: float) -> bool:
@@ -278,62 +366,55 @@ class FourCycleArbitraryThreePass:
         stored: List[Tuple[Edge, Cycle]] = []
         with telemetry.tracer.span("pass2:store-cycles", kind="pass") as span:
             for a, b in stream.edges():
-                for cycle in self._completions(s0_adj, a, b):
-                    stored.append(((a, b), cycle))
-                    meter.add("stored_cycles")
+                cycles = self._completions(s0_adj, a, b)
+                if cycles:
+                    stored.extend(((a, b), cycle) for cycle in cycles)
+                    meter.add("stored_cycles", len(cycles))
             span.set("stored_cycles", len(stored))
 
         # ---- pass 3: classify every involved edge --------------------
         eta_sqrt_t = self.eta * math.sqrt(self.t_guess)
+        oracle_edges = list(
+            dict.fromkeys(
+                normalize_edge(x, y)
+                for _, (a, b, c_v, d_v) in stored
+                for x, y in ((a, b), (b, c_v), (c_v, d_v), (d_v, a))
+            )
+        )
+        selection = select_samples(
+            oracle_edges,
+            q_sets,
+            s_adjs,
+            p,
+            [self.seed * 100_003 + i for i in range(len(oracle_edges))],
+        )
         oracles: Dict[Edge, _EdgeOracle] = {}
-        edge_index: Dict[Vertex, List[_EdgeOracle]] = {}
-        for _, (a, b, c_v, d_v) in stored:
-            for e in (
-                normalize_edge(a, b),
-                normalize_edge(b, c_v),
-                normalize_edge(c_v, d_v),
-                normalize_edge(d_v, a),
-            ):
-                if e in oracles:
-                    continue
-                oracle = _EdgeOracle(
-                    edge=e,
-                    q1=q_sets[0],
-                    q2=q_sets[1],
-                    s1_adj=s_adjs[0],
-                    s2_adj=s_adjs[1],
-                    p=p,
-                    m_bound=eta_sqrt_t,
-                    seed=self.seed * 100_003 + len(oracles),
-                )
-                oracles[e] = oracle
-                for w in e:
-                    edge_index.setdefault(w, []).append(oracle)
+        # edge_index[w]: (oracle, the endpoint of its edge other than w)
+        edge_index: Dict[Vertex, List[Tuple[_EdgeOracle, Vertex]]] = {}
+        for e, samples in zip(oracle_edges, selection.samples):
+            oracle = _EdgeOracle(e, samples, s_adjs, selection.effective_p, eta_sqrt_t)
+            oracles[e] = oracle
+            a, b = e
+            edge_index.setdefault(a, []).append((oracle, b))
+            edge_index.setdefault(b, []).append((oracle, a))
 
+        observations = 0
         if oracles:
             with telemetry.tracer.span("pass3:classify", kind="pass") as span:
                 for u, v in stream.edges():
                     f = normalize_edge(u, v)
-                    seen: Set[Edge] = set()
-                    for w in (u, v):
-                        for oracle in edge_index.get(w, ()):
-                            if oracle.edge == f or oracle.edge in seen:
-                                continue
-                            seen.add(oracle.edge)
-                            # f must share exactly one endpoint with e
-                            a, b = oracle.edge
-                            shared = (u in (a, b)) + (v in (a, b))
-                            if shared == 1:
-                                oracle.process_stream_edge(f)
+                    # f is one oracle's own edge, or shares one endpoint
+                    for shared, outer in ((u, v), (v, u)):
+                        for oracle, opposite in edge_index.get(shared, ()):
+                            if opposite != outer:
+                                oracle.observe(f, opposite, outer)
+                                observations += 1
                 span.set("num_oracles", len(oracles))
-            passes = stream.passes_taken
-        else:
-            passes = stream.passes_taken  # oracle pass not needed
 
         heavy: Dict[Edge, bool] = {
             e: oracle.classify(eta_sqrt_t) for e, oracle in oracles.items()
         }
-        for idx, oracle in enumerate(oracles.values()):
+        for oracle in oracles.values():
             meter.add("oracle_counters", oracle.space_items)
 
         # ---- combine --------------------------------------------------
@@ -361,6 +442,8 @@ class FourCycleArbitraryThreePass:
             metrics.inc(f"{self.name}.stored_cycles", len(stored))
             metrics.inc(f"{self.name}.oracle_calls", len(oracles))
             metrics.inc(f"{self.name}.heavy_edges", sum(heavy.values()))
+            metrics.inc(f"{self.name}.pass3.select_hash_evals", selection.hash_evals)
+            metrics.inc(f"{self.name}.pass3.oracle_observations", observations)
 
         details = {
             "p": p,

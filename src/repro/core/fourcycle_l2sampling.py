@@ -34,7 +34,7 @@ import numpy as np
 from .. import obs as _obs
 from ..graphs.graph import Vertex, normalize_edge
 from ..seeding import component_rng
-from ..sketches.hashing import stable_key_array, stable_pair_key_array
+from ..sketches.hashing import stable_key_array, stable_tuple_key_array
 from ..sketches.l2_sampler import L2SamplerBank
 from ..sketches.wedge_f2 import WedgeF2Estimator
 from ..streams.meter import SpaceMeter
@@ -60,7 +60,7 @@ def _wedge_pair_keys(ordered: Sequence[Vertex]) -> np.ndarray:
         count=first.size,
     )
     first, second = np.where(swap, second, first), np.where(swap, first, second)
-    return stable_pair_key_array(folds[first], folds[second])
+    return stable_tuple_key_array(folds[first], folds[second])
 
 
 class FourCycleL2Sampling:

@@ -128,24 +128,54 @@ def stack_coefficients(hashes: Sequence["KWiseHash"]) -> "np.ndarray":
     return np.array([h._coeffs for h in hashes], dtype=np.uint64).reshape(len(hashes), -1)
 
 
-# The tuple encoding of :func:`stable_key`, shared with its pair kernel.
+def gathered_values(
+    coefficients: "np.ndarray", rows: "np.ndarray", stable_keys: "np.ndarray"
+) -> "np.ndarray":
+    """Evaluate key ``i`` under coefficient row ``rows[i]``, for every ``i``.
+
+    The row-gathered companion of :func:`stacked_values`: where that
+    evaluates every row at every key, this hashes each key by one row of
+    its own, so ``N`` keys spread over many hash functions cost ``N``
+    evaluations rather than ``H * N``.  Returns the ``N`` uint64 values,
+    equal to ``KWiseHash.value`` of hash ``rows[i]`` at ``stable_keys[i]``.
+    """
+    columns = np.asarray(coefficients, dtype=np.uint64).T
+    rows = np.asarray(rows, dtype=np.intp)
+    x = np.asarray(stable_keys, dtype=np.uint64)
+    out = np.empty(x.size, dtype=np.uint64)
+    for lo in range(0, x.size, _BLOCK_ELEMENTS):
+        block = x[lo : lo + _BLOCK_ELEMENTS]
+        block_rows = rows[lo : lo + _BLOCK_ELEMENTS]
+        x_hi = block >> _SHIFT32
+        x_lo = block & _MASK32
+        acc = columns[0][block_rows]
+        for column in columns[1:]:
+            acc = _mul_add_mod(acc, x_hi, x_lo, column[block_rows])
+        out[lo : lo + block.size] = _canonical(acc)
+    return out
+
+
+# The tuple encoding of :func:`stable_key`, shared with its array kernel.
 _TUPLE_SEED = 104729
 _TUPLE_MULTIPLIER = 1000003
 
 
-def stable_pair_key_array(first: "np.ndarray", second: "np.ndarray") -> "np.ndarray":
-    """Vectorized ``stable_key((a, b))`` from the folds of ``a`` and ``b``.
+def stable_tuple_key_array(*member_folds: "np.ndarray") -> "np.ndarray":
+    """Vectorized ``stable_key((m_1, ..., m_k))`` from the members' folds.
 
-    ``first`` and ``second`` are :func:`stable_key` outputs of the pair's
-    members; the result equals the scalar tuple encoding exactly, so a
-    pair key is folded from two per-vertex folds instead of recursing
-    through the tuple.
+    Argument ``j`` holds :func:`stable_key` outputs of the tuples' ``j``-th
+    members (arrays of one shape, or scalars broadcast against them); the
+    result equals the scalar tuple encoding exactly.  A nested tuple is a
+    member whose fold is itself a ``stable_tuple_key_array`` result, so
+    ``stable_key((d, x, (a, b)))`` is
+    ``stable_tuple_key_array(fd, fx, stable_tuple_key_array(fa, fb))``.
     """
-    first = np.asarray(first, dtype=np.uint64)
-    second = np.asarray(second, dtype=np.uint64)
+    if not member_folds:
+        raise ValueError("a tuple key needs at least one member")
+    members = np.broadcast_arrays(*(np.asarray(m, dtype=np.uint64) for m in member_folds))
     multiplier = np.uint64(_TUPLE_MULTIPLIER)  # one 32-bit limb: the high limb is 0
-    acc = np.full(first.shape, _TUPLE_SEED, dtype=np.uint64)
-    for member in (first, second):
+    acc = np.full(members[0].shape, _TUPLE_SEED, dtype=np.uint64)
+    for member in members:
         acc = _mul_add_mod(acc, np.uint64(0), multiplier, member + _ONE)
     return _canonical(acc)
 

@@ -13,7 +13,7 @@ import pytest
 from repro.core.fourcycle_adjacency_diamond import _ClassInstance, _choose2
 from repro.core.fourcycle_arbitrary_threepass import (
     FourCycleArbitraryThreePass,
-    _EdgeOracle,
+    select_samples,
     subsample_q,
 )
 from repro.core.triangle_random_order import _adj_add, _common_neighbors
@@ -136,7 +136,7 @@ class TestEdgeOracleSampling:
         p = 0.3
         q = subsample_q(p)
         expected = p * (0.4 + q)
-        # build many oracles over a fixed star around edge (a, b)
+        # select over many seeds on a fixed star around edge (a, b)
         a, b = "a", "b"
         included = 0
         total = 0
@@ -149,32 +149,22 @@ class TestEdgeOracleSampling:
             for d in q_set:
                 s_adj.setdefault(d, set()).add(a)
                 s_adj.setdefault(a, set()).add(d)
-            oracle = _EdgeOracle(
-                edge=(a, b),
-                q1=q_set,
-                q2=set(),
-                s1_adj=s_adj,
-                s2_adj={},
-                p=p,
-                m_bound=10.0,
-                seed=seed,
+            selection = select_samples(
+                [(a, b)], (q_set, set()), (s_adj, {}), p, seeds=[seed]
             )
             # each of the 20 candidate H_e vertices (d, a) could be in R1
-            included += len(oracle._r[0])
+            included += len(selection.samples[0][0])
             total += 20
         rate = included / total
         assert abs(rate - expected) < 0.03
 
     def test_direct_mode_for_large_p(self):
-        oracle = _EdgeOracle(
-            edge=("a", "b"),
-            q1={"d"},
-            q2=set(),
-            s1_adj={"d": {"a"}, "a": {"d"}},
-            s2_adj={},
+        selection = select_samples(
+            [("a", "b")],
+            ({"d"}, set()),
+            ({"d": {"a"}, "a": {"d"}}, {}),
             p=1.0,
-            m_bound=10.0,
-            seed=1,
+            seeds=[1],
         )
-        assert oracle._mode == "direct"
-        assert oracle.effective_p == pytest.approx(0.4)
+        assert selection.mode == "direct"
+        assert selection.effective_p == pytest.approx(0.4)

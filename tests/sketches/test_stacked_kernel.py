@@ -2,9 +2,10 @@
 
 ``_mul_add_mod`` splits operands into 32-bit limbs and reduces lazily;
 :func:`stacked_values` evaluates many hash polynomials at many keys by
-Horner's rule on top of it.  Both are checked against exact ``int``
-arithmetic modulo ``2**61 - 1`` on random operands and on the limb and
-modulus boundaries.
+Horner's rule on top of it, and :func:`gathered_values` one row per key.
+They are checked against exact ``int`` arithmetic modulo ``2**61 - 1``
+and ``KWiseHash.value`` on random operands and on the limb and modulus
+boundaries; :func:`stable_tuple_key_array` against ``stable_key``.
 """
 
 import itertools
@@ -17,7 +18,8 @@ from repro.sketches import MERSENNE_PRIME, KWiseHash, stable_key
 from repro.sketches.hashing import (
     _canonical,
     _mul_add_mod,
-    stable_pair_key_array,
+    gathered_values,
+    stable_tuple_key_array,
     stack_coefficients,
     stacked_values,
 )
@@ -121,19 +123,69 @@ class TestStackedValues:
         assert got.ravel().tolist() == [h.value(k) for k in range(12)]
 
 
-class TestStablePairKeyArray:
+class TestGatheredValues:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_each_key_by_its_row(self, k):
+        rng = random.Random(10 + k)
+        hashes = [KWiseHash(k, seed=s, namespace="gather") for s in range(25)]
+        keys = BOUNDARIES + [rng.randrange(P) for _ in range(3000)]
+        rows = [rng.randrange(len(hashes)) for _ in keys]
+        got = gathered_values(stack_coefficients(hashes), rows, keys).tolist()
+        assert got == [hashes[r].value(x) for r, x in zip(rows, keys)]
+
+    def test_matches_stacked_values(self):
+        """Blocks past 32K keys; every row at every key agrees with the stack."""
+        hashes = [KWiseHash(2, seed=s) for s in range(3)]
+        coefficients = stack_coefficients(hashes)
+        keys = np.arange(40000, dtype=np.uint64) * np.uint64(2**40 + 7) % np.uint64(P)
+        stacked = stacked_values(coefficients, keys)
+        for row in range(3):
+            got = gathered_values(coefficients, np.full(keys.size, row), keys)
+            assert np.array_equal(got, stacked[row])
+
+    def test_empty(self):
+        got = gathered_values(stack_coefficients([KWiseHash(2, seed=0)]), [], [])
+        assert got.shape == (0,)
+
+
+class TestStableTupleKeyArray:
     def test_matches_tuple_fold(self):
         rng = random.Random(3)
         members = BOUNDARIES + [rng.randrange(P) for _ in range(500)]
         first = [rng.choice(members) for _ in range(2000)]
         second = [rng.choice(members) for _ in range(2000)]
-        got = stable_pair_key_array(first, second).tolist()
+        got = stable_tuple_key_array(first, second).tolist()
         assert got == [stable_key((a, b)) for a, b in zip(first, second)]
 
     def test_from_label_folds(self):
         labels = ["a", "b", "u17", 0, 5, -3, 10**30]
         pairs = list(itertools.permutations(labels, 2))
-        got = stable_pair_key_array(
+        got = stable_tuple_key_array(
             [stable_key(u) for u, _ in pairs], [stable_key(v) for _, v in pairs]
         )
         assert got.tolist() == [stable_key(pair) for pair in pairs]
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_other_widths(self, width):
+        rng = random.Random(width)
+        members = BOUNDARIES + [rng.randrange(P) for _ in range(200)]
+        tuples = [tuple(rng.choice(members) for _ in range(width)) for _ in range(1000)]
+        got = stable_tuple_key_array(*zip(*tuples)).tolist()
+        assert got == [stable_key(t) for t in tuples]
+
+    def test_nested_and_broadcast(self):
+        """``(d, x, (a, b))`` folds through an inner tuple fold; a scalar
+        member broadcasts against the arrays."""
+        labels = ["a", 7, 2**32 + 1, "b", P - 1, 0]
+        triples = list(itertools.permutations(labels, 3))
+        folds = {v: stable_key(v) for v in labels}
+        edge = ("a", "b")
+        inner = stable_tuple_key_array(folds["a"], folds["b"])
+        got = stable_tuple_key_array(
+            [folds[d] for d, _, _ in triples], [folds[x] for _, x, _ in triples], inner
+        )
+        assert got.tolist() == [stable_key((d, x, edge)) for d, x, _ in triples]
+
+    def test_needs_a_member(self):
+        with pytest.raises(ValueError):
+            stable_tuple_key_array()
