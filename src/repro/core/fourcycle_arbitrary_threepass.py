@@ -45,8 +45,8 @@ import numpy as np
 from .. import obs as _obs
 from ..graphs.graph import Edge, Vertex, normalize_edge
 from ..sketches.hashing import (
-    MERSENNE_PRIME,
     KWiseHash,
+    bernoulli_threshold,
     gathered_values,
     stable_key_array,
     stable_tuple_key_array,
@@ -175,7 +175,7 @@ def select_samples(
     values = gathered_values(stack_coefficients(hashes), 2 * owner + copy_of, keys)
 
     if mode == "direct":
-        take = values < np.uint64(math.ceil(0.4 * MERSENNE_PRIME))
+        take = values < bernoulli_threshold(0.4)
         take_second = np.zeros(owner.size, dtype=bool)
     else:
         # choice4((d, e), 0.4, 0.4, q): 0 keeps (d, a), 1 keeps (d, b),
@@ -184,7 +184,7 @@ def select_samples(
         take = np.where(
             both,
             (uniforms < 0.4) | ((uniforms >= 0.4 + 0.4) & (uniforms < 0.4 + 0.4 + q)),
-            values < np.uint64(math.ceil((0.4 + q) * MERSENNE_PRIME)),
+            values < bernoulli_threshold(0.4 + q),
         )
         take_second = both & (uniforms >= 0.4) & (uniforms < 0.4 + 0.4 + q)
 

@@ -1,6 +1,7 @@
 """Hash family: determinism, distribution and independence checks."""
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sketches import KWiseHash, MERSENNE_PRIME, hash_family, stable_key
+from repro.sketches.hashing import bernoulli_threshold
 
 
 class TestStableKey:
@@ -92,6 +94,25 @@ class TestKWiseHash:
         h = KWiseHash(k=2, seed=1)
         assert not any(h.bernoulli(i, 0.0) for i in range(100))
         assert all(h.bernoulli(i, 1.0) for i in range(100))
+
+    def test_bernoulli_threshold_is_the_scalar_cut(self):
+        """``value < bernoulli_threshold(p)`` is ``bernoulli``'s
+        ``value < p * P`` for every integer value, right at the cut too."""
+        rng = random.Random(3)
+        probabilities = [0.0, 1e-18, 0.05, 0.4, 0.5, 0.6, 1 - 1e-16, 1.0]
+        probabilities += [rng.random() for _ in range(200)]
+        for p in probabilities:
+            threshold = int(bernoulli_threshold(p))
+            for value in {0, threshold - 1, threshold, threshold + 1, MERSENNE_PRIME - 1}:
+                if 0 <= value < MERSENNE_PRIME:
+                    assert (value < threshold) == (value < p * MERSENNE_PRIME)
+        assert bernoulli_threshold(0.0) == 0
+        assert bernoulli_threshold(1.0) >= MERSENNE_PRIME
+
+    def test_bernoulli_threshold_validates(self):
+        for p in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                bernoulli_threshold(p)
 
     def test_sign_balance(self):
         h = KWiseHash(k=4, seed=9)
