@@ -17,12 +17,13 @@ bench:
 bench-smoke:
 	REPRO_BENCH_QUICK=1 pytest benchmarks/bench_perf_engine.py -s --benchmark-disable
 
-# One short run of two repo-benchmark workloads: c4-adjacency-tiny (A3,
-# A4, A5 and the wedge-pair baseline) and c4-file-arbitrary (A6, A7, A8
-# and three baselines).  Each fails unless its result line (the last line
-# printed) reports correct output and no failed trials.
+# One short run of each repo-benchmark workload: tri-powerlaw-random (A1
+# and four triangle baselines), c4-adjacency-tiny (A3, A4, A5 and the
+# wedge-pair baseline) and c4-file-arbitrary (A6, A7, A8 and three
+# baselines).  Each fails unless its result line (the last line printed)
+# reports correct output and no failed trials.
 perfbench-smoke:
-	for workload in c4-adjacency-tiny c4-file-arbitrary; do \
+	for workload in tri-powerlaw-random c4-adjacency-tiny c4-file-arbitrary; do \
 	  python3 perfbench/run.py --workload $$workload --seed 1 --seconds 5 --trace 0 \
 	    | tail -n 1 | python3 -c 'import json, sys; r = json.load(sys.stdin); print(r); \
 	    sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' || exit 1; \
