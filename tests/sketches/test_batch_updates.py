@@ -35,6 +35,24 @@ class TestStableKeyArray:
         arr = np.array([5, -7, 123456789, 0], dtype=np.int64)
         assert stable_key_array(arr).tolist() == [stable_key(int(k)) for k in arr]
 
+    def test_matches_scalar_beyond_int63(self):
+        keys = [2**63, 2**63 + 1, 2**64 - 1, 0, 5, MERSENNE_PRIME]
+        expected = [stable_key(k) for k in keys]
+        assert stable_key_array(keys).tolist() == expected
+        assert stable_key_array(np.array(keys, dtype=np.uint64)).tolist() == expected
+        assert stable_key_array(np.array([3, 250], dtype=np.uint8)).tolist() == [3, 250]
+
+    def test_matches_scalar_at_int64_min(self):
+        keys = [-(2**63), -(2**63) + 1, -MERSENNE_PRIME - 1, -1]
+        expected = [stable_key(k) for k in keys]
+        assert stable_key_array(keys).tolist() == expected
+        assert stable_key_array(np.array(keys, dtype=np.int64)).tolist() == expected
+
+    def test_bools_among_ints_stay_distinct(self):
+        keys = [True, 3, False, 1, 0]
+        assert stable_key_array(keys).tolist() == [stable_key(k) for k in keys]
+        assert stable_key_array(keys).tolist()[:3] == [7, 3, 11]
+
     def test_matches_scalar_on_tuples(self):
         keys = [(1, 2), (2, 1), (0, 0), (10**6, 10**6 + 1)]
         assert stable_key_array(keys).tolist() == [stable_key(k) for k in keys]
