@@ -3,10 +3,9 @@
 Sweeps rebuild the same (generator, params, seed) workload dozens of
 times — every sweep point, every benchmark file, every light
 experiment — and each rebuild used to recompute exact triangle /
-four-cycle counts from scratch, which dominates wall-clock for the
-pure-Python counters.  This module provides a small process-wide LRU
-keyed by the workload's full provenance, backed by the fastest exact
-backend (:func:`repro.graphs.fast_counts_auto`).
+four-cycle counts from scratch.  This module provides a small
+process-wide LRU keyed by the workload's full provenance, backed by the
+numpy exact counter (:func:`repro.graphs.fast_counts`).
 
 The cache is correct because a workload's graph is a deterministic
 function of ``(generator name, params, seed)`` — the key includes every
@@ -21,7 +20,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Hashable, Tuple
 
 from ..graphs import Graph
-from ..graphs.fast import fast_counts_auto
+from ..graphs.fast import fast_counts
 
 MAX_ENTRIES = 256
 
@@ -51,7 +50,7 @@ def cached_ground_truth(
     ``generator`` and ``params`` must fully determine ``graph`` (the
     workload registry guarantees this: all randomness flows through the
     ``seed`` param).  On a hit the counts come straight from the LRU; on
-    a miss they are computed once with the fastest exact backend.
+    a miss they are computed once with :func:`repro.graphs.fast_counts`.
     """
     global _HITS, _MISSES
     key: Tuple[str, Hashable] = (generator, freeze_params(params))
@@ -61,7 +60,7 @@ def cached_ground_truth(
         _CACHE.move_to_end(key)
         return dict(cached)
     _MISSES += 1
-    counts = fast_counts_auto(graph)
+    counts = fast_counts(graph)
     _CACHE[key] = counts
     while len(_CACHE) > MAX_ENTRIES:
         _CACHE.popitem(last=False)

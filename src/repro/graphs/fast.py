@@ -1,191 +1,107 @@
-"""Matrix-based exact counting (numpy-accelerated).
+"""Exact triangle, four-cycle and wedge-F2 counts in numpy.
 
 The reference counters in :mod:`repro.graphs.exact` are pure Python —
-transparent but slow past a few thousand edges.  For large workload
-construction and ground-truthing, these use the classical adjacency
-matrix trace identities:
+transparent but slow past a few thousand edges.  Workload construction
+and ground-truthing use :func:`fast_counts`, a degree-ordered counter
+(Chiba & Nishizeki 1985) in numpy alone:
 
-* ``triangles = tr(A^3) / 6``;
-* ``four_cycles = (tr(A^4) - 2 * sum_v d_v^2 + 2m) / 8``
-  (closed 4-walks minus the back-and-forth and out-and-back walks);
-* ``F2(x) = (||A^2||_F^2 - sum_v d_v^2) / 2`` over unordered pairs,
-  since ``(A^2)_{uv} = x_{uv}`` for ``u != v`` and ``(A^2)_{vv} = d_v``.
+* Vertices are ranked by ``(degree, index)`` and relabelled by rank, so
+  every neighbour list is a sorted run of one array of directed edge
+  keys ``u * n + w``.
+* Every four-cycle has one top vertex ``v`` (its highest rank), and its
+  vertex opposite ``v`` is some ``w`` below ``v``.  The counter lists
+  every length-2 path ``v - u - w`` with both ``u`` and ``w`` below
+  ``v`` and groups them by ``(v, w)``; a pair reached by ``c`` paths
+  closes ``C(c, 2)`` four-cycles, each counted once.
+* A path whose ends ``v`` and ``w`` are adjacent is a triangle with top
+  vertex ``v``, seen twice (once through each lower vertex), so the
+  triangle count is half the paths whose ``(v, w)`` key is an edge key.
+* ``wedge_f2 = 4 * C4 + sum_v C(d_v, 2)``: ``sum_{u<w} C(x_uw, 2)``
+  is ``2 * C4`` and ``sum_{u<w} x_uw`` is the wedge count.
 
-All arithmetic runs in float64 BLAS and is exact well past any graph
-that fits in memory here (values stay far below 2^53); results are
-rounded and returned as ints.  The equivalence tests in
-``tests/graphs/test_fast.py`` pin these against the reference counters
-over arbitrary hypothesis graphs.
+Under the degree order an edge ``{u, v}`` with ``u`` below ``v`` starts
+at most ``d_u = min(d_u, d_v)`` of these paths, so the counter lists
+``O(m * sqrt(m))`` paths in all.  No dense path remains because the
+trace identities (``tr(A^3) / 6`` and kin) need ``n x n`` matrices
+whatever the edge count: half a gigabyte each and ``O(n^3)`` work for
+a sparse n=8000 graph.  Paths are listed for a run of top vertices at a time, so the
+working arrays hold at most ``_CHUNK_PATHS`` paths (one top vertex with
+more gets a chunk of its own).  All arithmetic is exact int64.  The
+equivalence tests in ``tests/graphs/test_fast.py`` pin the counts
+against the reference counters over arbitrary hypothesis graphs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from .graph import Graph, Vertex
+from .graph import Graph
+
+# Length-2 paths listed per chunk of top vertices.
+_CHUNK_PATHS = 1 << 20
 
 
-def adjacency_matrix(graph: Graph) -> "np.ndarray":
-    """Dense 0/1 adjacency matrix with a fixed vertex order.
-
-    The order is the sorted vertex list (by repr for mixed types), so
-    the matrix is deterministic for a given graph.
-    """
-    vertices: List[Vertex] = sorted(graph.vertices(), key=repr)
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    matrix = np.zeros((n, n), dtype=np.float64)
-    for u, v in graph.edges():
-        i, j = index[u], index[v]
-        matrix[i, j] = 1.0
-        matrix[j, i] = 1.0
-    return matrix
-
-
-def fast_triangle_count(graph: Graph) -> int:
-    """``tr(A^3) / 6`` — exact triangle count."""
-    if graph.num_edges == 0:
-        return 0
-    a = adjacency_matrix(graph)
-    a2 = a @ a
-    trace3 = float(np.sum(a2 * a))  # tr(A^3) without forming A^3
-    return round(trace3 / 6.0)
-
-
-def fast_four_cycle_count(graph: Graph) -> int:
-    """Closed-4-walk identity — exact four-cycle count."""
-    if graph.num_edges == 0:
-        return 0
-    a = adjacency_matrix(graph)
-    a2 = a @ a
-    trace4 = float(np.sum(a2 * a2.T))  # tr(A^4) = ||A^2||_F^2 (A^2 symmetric)
-    degrees = a.sum(axis=1)
-    degree_square_sum = float(np.sum(degrees**2))
-    m = graph.num_edges
-    return round((trace4 - 2.0 * degree_square_sum + 2.0 * m) / 8.0)
-
-
-def fast_wedge_f2(graph: Graph) -> int:
-    """``F2`` of the wedge vector over unordered pairs."""
-    if graph.num_edges == 0:
-        return 0
-    a = adjacency_matrix(graph)
-    a2 = a @ a
-    frob = float(np.sum(a2 * a2))
-    degrees = a.sum(axis=1)
-    return round((frob - float(np.sum(degrees**2))) / 2.0)
-
-
-def fast_per_edge_triangle_counts(graph: Graph) -> Dict[tuple, int]:
-    """Per-edge triangle counts via ``(A^2)_{uv}`` on edges."""
-    from .graph import normalize_edge
-
-    if graph.num_edges == 0:
-        return {}
-    vertices = sorted(graph.vertices(), key=repr)
-    index = {v: i for i, v in enumerate(vertices)}
-    a = adjacency_matrix(graph)
-    a2 = a @ a
-    return {
-        normalize_edge(u, v): round(float(a2[index[u], index[v]]))
-        for u, v in graph.edges()
-    }
-
-
-def fast_per_edge_four_cycle_counts(graph: Graph) -> Dict[tuple, int]:
-    """Per-edge four-cycle counts via the walk identity
-    ``c(u,v) = (A^3)_{uv} - d_u - d_v + 1`` on edges (the subtracted
-    terms remove the out-and-back length-3 walks through the edge)."""
-    from .graph import normalize_edge
-
-    if graph.num_edges == 0:
-        return {}
-    vertices = sorted(graph.vertices(), key=repr)
-    index = {v: i for i, v in enumerate(vertices)}
-    a = adjacency_matrix(graph)
-    a3 = a @ a @ a
-    degrees = a.sum(axis=1)
-    counts = {}
-    for u, v in graph.edges():
-        i, j = index[u], index[v]
-        value = float(a3[i, j]) - float(degrees[i]) - float(degrees[j]) + 1.0
-        counts[normalize_edge(u, v)] = round(value)
-    return counts
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges ``starts[i] : starts[i] + lengths[i]``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
 
 
 def fast_counts(graph: Graph) -> Dict[str, int]:
-    """Triangles, four-cycles and wedge-F2 from one matrix pipeline."""
-    if graph.num_edges == 0:
-        return {"triangles": 0, "four_cycles": 0, "wedge_f2": 0}
-    a = adjacency_matrix(graph)
-    a2 = a @ a
-    degrees = a.sum(axis=1)
-    degree_square_sum = float(np.sum(degrees**2))
-    m = graph.num_edges
-    trace3 = float(np.sum(a2 * a))
-    frob = float(np.sum(a2 * a2))
-    return {
-        "triangles": round(trace3 / 6.0),
-        "four_cycles": round((frob - 2.0 * degree_square_sum + 2.0 * m) / 8.0),
-        "wedge_f2": round((frob - degree_square_sum) / 2.0),
-    }
-
-
-def fast_counts_sparse(graph: Graph) -> Dict[str, int]:
-    """The :func:`fast_counts` identities on a ``scipy.sparse`` matrix.
-
-    For the sparse workloads the experiments sweep (``m`` in the
-    thousands, ``n`` in the thousands) the dense ``n x n`` matmul is the
-    bottleneck; CSR ``A @ A`` only touches the realized wedges.  Raises
-    ``ImportError`` when scipy is unavailable — use
-    :func:`fast_counts_auto` for the gated entry point.
-    """
-    import scipy.sparse as sp
-
-    if graph.num_edges == 0:
-        return {"triangles": 0, "four_cycles": 0, "wedge_f2": 0}
-    vertices: List[Vertex] = sorted(graph.vertices(), key=repr)
-    index = {v: i for i, v in enumerate(vertices)}
+    """Exact ``{"triangles", "four_cycles", "wedge_f2"}`` of ``graph``."""
+    vertices = list(graph.vertices())
     n = len(vertices)
-    rows = []
-    cols = []
-    for u, v in graph.edges():
-        i, j = index[u], index[v]
-        rows.extend((i, j))
-        cols.extend((j, i))
-    a = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.float64), (rows, cols)), shape=(n, n)
+    index = {v: i for i, v in enumerate(vertices)}
+    degree = np.fromiter(
+        (len(graph.neighbors(v)) for v in vertices), dtype=np.int64, count=n
     )
-    a2 = a @ a
-    degrees = np.asarray(a.sum(axis=1)).ravel()
-    degree_square_sum = float(np.sum(degrees**2))
-    m = graph.num_edges
-    trace3 = float(a2.multiply(a).sum())
-    frob = float(a2.multiply(a2).sum())
+    heads = np.fromiter(
+        (index[w] for v in vertices for w in graph.neighbors(v)),
+        dtype=np.int64,
+        count=int(degree.sum()),
+    )
+    wedges = int((degree * (degree - 1) // 2).sum())
+    if len(heads) == 0:
+        return {"triangles": 0, "four_cycles": 0, "wedge_f2": 0}
+
+    order = np.argsort(degree, kind="stable")  # rank by (degree, index)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    keys = np.sort(rank[np.repeat(np.arange(n), degree)] * n + rank[heads])
+    tails, nbrs = np.divmod(keys, n)
+    start = np.concatenate(([0], np.cumsum(degree[order])))
+
+    # Oriented edges top -> mid (mid below top), grouped by top; each
+    # reaches the prefix of mid's sorted neighbours that lie below top.
+    down = nbrs < tails
+    top, mid = tails[down], nbrs[down]
+    reach = np.searchsorted(keys, mid * n + top) - start[mid]
+    first = np.searchsorted(top, np.arange(n + 1))
+    paths_before = np.concatenate(([0], np.cumsum(reach)))[first]
+
+    four_cycles = 0
+    doubled_triangles = 0
+    lo = 0
+    while lo < n:
+        cut = np.searchsorted(paths_before, paths_before[lo] + _CHUNK_PATHS, "right")
+        hi = max(lo + 1, int(cut) - 1)
+        a, b = first[lo], first[hi]
+        if paths_before[hi] > paths_before[lo]:
+            ends = np.repeat(top[a:b], reach[a:b]) * n + nbrs[
+                _segments(start[mid[a:b]], reach[a:b])
+            ]
+            pairs, counts = np.unique(ends, return_counts=True)
+            four_cycles += int((counts * (counts - 1) // 2).sum())
+            at = np.minimum(np.searchsorted(keys, pairs), len(keys) - 1)
+            doubled_triangles += int(counts[keys[at] == pairs].sum())
+        lo = hi
     return {
-        "triangles": round(trace3 / 6.0),
-        "four_cycles": round((frob - 2.0 * degree_square_sum + 2.0 * m) / 8.0),
-        "wedge_f2": round((frob - degree_square_sum) / 2.0),
+        "triangles": doubled_triangles // 2,
+        "four_cycles": four_cycles,
+        "wedge_f2": 4 * four_cycles + wedges,
     }
 
 
-def fast_counts_auto(graph: Graph) -> Dict[str, int]:
-    """Pick the fastest exact-count backend for this graph.
-
-    Small or dense graphs go through the dense BLAS pipeline; larger
-    sparse graphs use the scipy.sparse pipeline when scipy is present.
-    All backends compute identical integers.
-    """
-    n = graph.num_vertices
-    m = graph.num_edges
-    # Dense n x n work is ~n^3 flops; sparse work scales with wedge
-    # count.  Below ~512 vertices (or when the graph is genuinely
-    # dense) the dense path wins outright.
-    if n <= 512 or m >= n * (n - 1) // 8:
-        return fast_counts(graph)
-    try:
-        return fast_counts_sparse(graph)
-    except ImportError:  # pragma: no cover - scipy is an optional extra
-        return fast_counts(graph)
+fast_counts_auto = fast_counts

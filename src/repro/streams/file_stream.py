@@ -73,25 +73,8 @@ class FileEdgeStream(StreamSource):
 
     def _count(self) -> tuple:
         vertices = set()
-        seen: Set[Edge] = set()
         count = 0
-        for u, v in iter_edge_list(self._path):
-            if u == v:
-                if self._policy == POLICY_STRICT:
-                    raise StreamFaultError(
-                        f"self loop {u!r}-{u!r} in {self._path} (strict policy)"
-                    )
-                continue
-            edge = normalize_edge(u, v)
-            if self._deduplicate:
-                if edge in seen:
-                    if self._policy == POLICY_STRICT:
-                        raise StreamFaultError(
-                            f"duplicate edge {edge!r} in {self._path} "
-                            "(strict policy)"
-                        )
-                    continue
-                seen.add(edge)
+        for u, v in self._scrubbed({}):
             count += 1
             vertices.add(u)
             vertices.add(v)
@@ -109,30 +92,35 @@ class FileEdgeStream(StreamSource):
     def path(self) -> PathLike:
         return self._path
 
-    def _tokens(self) -> Iterator[Edge]:
+    def _scrubbed(self, counts: Dict[str, int]) -> Iterator[Edge]:
+        """The file's edges, canonical, minus self loops and (when
+        deduplicating) repeats; each drop is tallied into ``counts``,
+        or raises :class:`StreamFaultError` under ``strict``."""
         seen: Optional[Set[Edge]] = set() if self._deduplicate else None
-        counts: Dict[str, int] = {}
-        try:
-            for u, v in iter_edge_list(self._path):
-                if u == v:
+        for u, v in iter_edge_list(self._path):
+            if u == v:
+                if self._policy == POLICY_STRICT:
+                    raise StreamFaultError(
+                        f"self loop {u!r}-{u!r} in {self._path} (strict policy)"
+                    )
+                counts["self_loop"] = counts.get("self_loop", 0) + 1
+                continue
+            edge = normalize_edge(u, v)
+            if seen is not None:
+                if edge in seen:
                     if self._policy == POLICY_STRICT:
                         raise StreamFaultError(
-                            f"self loop {u!r}-{u!r} in {self._path} "
+                            f"duplicate edge {edge!r} in {self._path} "
                             "(strict policy)"
                         )
-                    counts["self_loop"] = counts.get("self_loop", 0) + 1
+                    counts["duplicate"] = counts.get("duplicate", 0) + 1
                     continue
-                edge = normalize_edge(u, v)
-                if seen is not None:
-                    if edge in seen:
-                        if self._policy == POLICY_STRICT:
-                            raise StreamFaultError(
-                                f"duplicate edge {edge!r} in {self._path} "
-                                "(strict policy)"
-                            )
-                        counts["duplicate"] = counts.get("duplicate", 0) + 1
-                        continue
-                    seen.add(edge)
-                yield edge
+                seen.add(edge)
+            yield edge
+
+    def _tokens(self) -> Iterator[Edge]:
+        counts: Dict[str, int] = {}
+        try:
+            yield from self._scrubbed(counts)
         finally:
             emit_fault_counts(counts)

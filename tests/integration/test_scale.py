@@ -10,19 +10,14 @@ import statistics
 import pytest
 
 from repro.core import FourCycleArbitraryThreePass, TriangleRandomOrder
-from repro.graphs import (
-    fast_four_cycle_count,
-    fast_triangle_count,
-    planted_diamonds,
-    planted_triangles,
-)
+from repro.graphs import fast_counts, planted_diamonds, planted_triangles
 from repro.streams import RandomOrderStream
 
 
 @pytest.mark.parametrize("n,planted,noise", [(8000, 1200, 4000)])
 def test_triangle_at_scale(n, planted, noise):
     graph = planted_triangles(n, planted, extra_edges=noise, seed=5)
-    truth = fast_triangle_count(graph)
+    truth = fast_counts(graph)["triangles"]
     # c = 1 (no log factor): dense enough for accuracy at this T
     # (c = 0.05 is the space-sweep setting, far too thin to estimate)
     estimates = [
@@ -39,7 +34,7 @@ def test_triangle_at_scale(n, planted, noise):
 
 def test_threepass_at_scale():
     graph = planted_diamonds(9000, [12] * 180, extra_edges=1500, seed=6)
-    truth = fast_four_cycle_count(graph)
+    truth = fast_counts(graph)["four_cycles"]
     result = FourCycleArbitraryThreePass(
         t_guess=truth, epsilon=0.3, eta=2.0, c=0.5, use_log_factor=False, seed=2
     ).run(RandomOrderStream(graph, seed=9))

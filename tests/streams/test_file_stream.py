@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro import obs
 from repro.core import TriangleRandomOrder
 from repro.graphs import erdos_renyi, triangle_count, write_edge_list
-from repro.streams import FileEdgeStream
+from repro.streams import POLICY_STRICT, FileEdgeStream, StreamFaultError
 
 
 @pytest.fixture
@@ -66,3 +67,38 @@ class TestFileEdgeStream:
         )
         assert result.estimate >= 0
         assert result.passes == 1
+
+
+class TestFaultHandling:
+    def _faults(self, telemetry):
+        counters = telemetry.metrics.snapshot()["counters"]
+        return {k: v for k, v in counters.items() if k.startswith("stream.faults.")}
+
+    def test_counts_once_per_pass_and_not_at_construction(self, tmp_path):
+        path = tmp_path / "faulty.txt"
+        path.write_text("0 1\n1 0\n1 2\n0 0\n2 2\n")
+        with obs.session(collect_env=False) as telemetry:
+            stream = FileEdgeStream(path)
+            assert stream.num_edges == 2
+            assert self._faults(telemetry) == {}
+            list(stream.edges())
+            assert self._faults(telemetry) == {
+                "stream.faults.self_loop": 2,
+                "stream.faults.duplicate": 1,
+            }
+            list(stream.edges())
+            assert self._faults(telemetry) == {
+                "stream.faults.self_loop": 4,
+                "stream.faults.duplicate": 2,
+            }
+
+    def test_strict_raises_at_construction(self, tmp_path):
+        loop = tmp_path / "loop.txt"
+        loop.write_text("0 1\n2 2\n")
+        with pytest.raises(StreamFaultError, match="self loop"):
+            FileEdgeStream(loop, policy=POLICY_STRICT)
+        dup = tmp_path / "dup.txt"
+        dup.write_text("0 1\n1 0\n")
+        with pytest.raises(StreamFaultError, match="duplicate"):
+            FileEdgeStream(dup, policy=POLICY_STRICT)
+        assert FileEdgeStream(dup, deduplicate=False, policy=POLICY_STRICT).num_edges == 2
